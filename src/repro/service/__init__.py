@@ -22,28 +22,34 @@ turns the same simulator into a *digital twin* of a live fleet:
 stack.
 """
 
-from repro.service.ingest import IngestPipeline, parse_event
-from repro.service.shadow import (
-    ConfigVerdict,
-    FleetSpec,
-    ShadowVerdict,
-    compare_verdicts,
-    load_fleet_spec,
-)
-from repro.service.twin import DigitalTwin, TwinWindowReport
-from repro.service.windows import Window, WindowManager, WindowRollup
+import importlib
+from typing import Any
 
-__all__ = [
-    "ConfigVerdict",
-    "DigitalTwin",
-    "FleetSpec",
-    "IngestPipeline",
-    "ShadowVerdict",
-    "TwinWindowReport",
-    "Window",
-    "WindowManager",
-    "WindowRollup",
-    "compare_verdicts",
-    "load_fleet_spec",
-    "parse_event",
-]
+#: Public name -> defining module, imported on first access (PEP 562) so
+#: ``python -m repro.service`` can install its signal handling before the
+#: simulator stack loads.
+_EXPORTS = {
+    "ConfigVerdict": "repro.service.shadow",
+    "DigitalTwin": "repro.service.twin",
+    "FleetSpec": "repro.service.shadow",
+    "IngestPipeline": "repro.service.ingest",
+    "ShadowVerdict": "repro.service.shadow",
+    "TwinWindowReport": "repro.service.twin",
+    "Window": "repro.service.windows",
+    "WindowManager": "repro.service.windows",
+    "WindowRollup": "repro.service.windows",
+    "compare_verdicts": "repro.service.shadow",
+    "load_fleet_spec": "repro.service.shadow",
+    "parse_event": "repro.service.ingest",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

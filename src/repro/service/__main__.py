@@ -20,21 +20,37 @@ Events are newline-delimited JSON objects (``{"query_id": ..,
 
 from __future__ import annotations
 
-import argparse
-import asyncio
 import signal
 import sys
-from typing import List, Optional
+from typing import List
 
-from repro.queries.generator import LoadGenerator
-from repro.queries.trace import QueryTrace
-from repro.runtime.pool import shared_pool
-from repro.serving.cluster import available_balancers
-from repro.service.checkpoint import WindowJournal
-from repro.service.ingest import IngestPipeline, serve_tcp
-from repro.service.shadow import FleetSpec, load_fleet_spec
-from repro.service.twin import DigitalTwin, TwinWindowReport
-from repro.service.windows import WindowManager
+#: SIGTERMs that arrived before the service was ready to shut down cleanly.
+_deferred_signals: List[int] = []
+
+
+def _defer_signal(signum, frame) -> None:
+    _deferred_signals.append(signum)
+
+
+if __name__ == "__main__":
+    # Before the heavy imports below: a supervisor's SIGTERM during start-up
+    # is held until the service can honour it (see _go_live), instead of
+    # killing the process with no report.
+    signal.signal(signal.SIGTERM, _defer_signal)
+
+import argparse  # noqa: E402
+import asyncio  # noqa: E402
+from typing import Optional  # noqa: E402
+
+from repro.queries.generator import LoadGenerator  # noqa: E402
+from repro.queries.trace import QueryTrace  # noqa: E402
+from repro.runtime.pool import shared_pool  # noqa: E402
+from repro.serving.cluster import available_balancers  # noqa: E402
+from repro.service.checkpoint import WindowJournal  # noqa: E402
+from repro.service.ingest import IngestPipeline, serve_tcp  # noqa: E402
+from repro.service.shadow import FleetSpec, load_fleet_spec  # noqa: E402
+from repro.service.twin import DigitalTwin, TwinWindowReport  # noqa: E402
+from repro.service.windows import WindowManager  # noqa: E402
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,6 +243,22 @@ def _raise_keyboard_interrupt(signum, frame) -> None:
     raise KeyboardInterrupt
 
 
+def _go_live() -> None:
+    """Deliver SIGTERM as ``KeyboardInterrupt`` from here on.
+
+    Called inside each transport's interrupt handling once the pipeline is
+    built, so a signal held during start-up takes the same clean path as
+    one that arrives mid-stream.
+    """
+    try:
+        signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
+    except ValueError:
+        return  # not the main thread (embedded use): keep default delivery
+    if _deferred_signals:
+        _deferred_signals.clear()
+        raise KeyboardInterrupt
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the service with the requested transport until the stream ends.
 
@@ -261,11 +293,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     def sink(report: TwinWindowReport) -> None:
         _print_report(report, args.report)
 
-    # SIGTERM behaves like Ctrl-C on the blocking (replay / stdin) paths;
-    # the TCP path installs its own loop-level handlers in serve_tcp.
+    # SIGTERM is held while the pipeline is built, then behaves like Ctrl-C
+    # on the blocking (replay / stdin) paths; the TCP path installs its own
+    # loop-level handlers in serve_tcp.
     previous_term = None
     try:
-        previous_term = signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
+        previous_term = signal.signal(signal.SIGTERM, _defer_signal)
     except ValueError:
         pass  # not the main thread (embedded use): keep default delivery
 
@@ -285,6 +318,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             with pipeline.twin:
                 if args.replay:
                     try:
+                        _go_live()
+                        print(f"replaying {args.replay}", file=sys.stderr)
                         trace = QueryTrace.load(args.replay)
                         for query in trace:
                             pipeline.feed(query)
@@ -293,6 +328,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     pipeline.finish()
                 elif args.stdin:
                     try:
+                        _go_live()
+                        print("reading events from stdin", file=sys.stderr)
                         pipeline.feed_lines(sys.stdin)
                     except KeyboardInterrupt:
                         interrupted = True
@@ -305,6 +342,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         print(f"listening on port {bound_port}", file=sys.stderr)
 
                     try:
+                        _go_live()
                         interrupted = asyncio.run(
                             serve_tcp(
                                 pipeline,
@@ -344,6 +382,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         if previous_term is not None:
             signal.signal(signal.SIGTERM, previous_term)
+        _deferred_signals.clear()
     if interrupted:
         print("interrupted: flushed final window report", file=sys.stderr)
         return 130

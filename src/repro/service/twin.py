@@ -1,4 +1,4 @@
-"""The digital twin: cumulative windowed re-simulation of a live fleet.
+"""The digital twin: a resumable simulation of a live fleet, window by window.
 
 :class:`DigitalTwin` is the service's core loop body.  Fed one closed
 :class:`~repro.service.windows.Window` at a time, it
@@ -6,13 +6,16 @@
 1. appends the window's events to the cumulative history (window 0 through
    the window just closed — the OpenDT ``sim-worker`` discipline, so every
    report describes the *whole stream so far*, not an isolated slice);
-2. re-simulates the cumulative stream through the
-   :class:`~repro.serving.cluster.ClusterSimulator` fast path, once per
-   configured fleet (real, and the shadow what-if when present).  Because
-   the simulator is a deterministic function of the event multiset, the
-   final window's cumulative measurement is **bit-identical** to a one-shot
-   batch run over the same events — asserted in
-   ``tests/test_service_twin.py::TestCumulativeBitIdentity``;
+2. advances each configured fleet's live
+   :class:`~repro.serving.cluster.ClusterRun` (real, and the shadow what-if
+   when present) by the window's events only, then measures a drained copy
+   of its in-flight work.  A window close therefore costs the window's
+   events plus the work still in flight (and one linear pass over a
+   one-float-and-one-id-per-query record, kept in both statistics modes),
+   not a re-run of windows 0..k; yet every report is **bit-identical** to a
+   one-shot batch run over windows 0..k — asserted in
+   ``tests/test_service_twin.py::TestCumulativeBitIdentity`` and
+   ``tests/test_twin_resume.py``;
 3. predicts each fleet's capacity with the unified
    :class:`~repro.runtime.capacity.CapacitySearch` against a shared
    :class:`~repro.serving.capacity.CapacityCache`.  The search's inputs are
@@ -24,7 +27,8 @@
    :class:`~repro.service.shadow.ShadowVerdict`.
 
 Long-lived state (the worker pool, the capacity cache, the per-config
-simulators, the offered-rate tracker) is built once and reused across
+simulators and their live runs, the offered-rate tracker) is built once and
+reused across
 windows — the whole point of running as a service instead of a batch CLI.
 
 >>> from repro.queries.generator import LoadGenerator
@@ -65,8 +69,8 @@ from repro.queries.query import Query
 from repro.runtime.capacity import CapacitySearch, run_capacity_searches
 from repro.runtime.pool import WorkerPool
 from repro.serving.capacity import CapacityCache
-from repro.serving.cluster import ClusterSimulationResult, ClusterSimulator
-from repro.serving.simulator import _check_latency_stats
+from repro.serving.cluster import ClusterRun, ClusterSimulationResult, ClusterSimulator
+from repro.serving.simulator import _arrival_key, _check_latency_stats
 from repro.service.shadow import (
     ConfigVerdict,
     FleetSpec,
@@ -167,12 +171,13 @@ class _FleetState:
             cpu=build_cpu_engine(spec.model, spec.platform), gpu=None
         )
         self.servers = spec.build_servers(self.engines)
-        # One simulator per config for the service's lifetime: kernels are
-        # rebuilt per run() and seeded balancers reset, so repeated runs are
-        # deterministic functions of the event multiset.
         self.simulator = ClusterSimulator(
             self.servers, balancer=spec.policy, latency_stats=latency_stats
         )
+        #: The resumable pass over the first ``admitted`` history events;
+        #: the rest (windows absorbed or just observed) join on next use.
+        self.live: Optional[ClusterRun] = None
+        self.admitted = 0
 
 
 class DigitalTwin:
@@ -296,25 +301,26 @@ class DigitalTwin:
     # ------------------------------------------------------------------ #
 
     def observe(self, window: Window) -> TwinWindowReport:
-        """Ingest one closed window: re-simulate cumulatively, re-predict.
+        """Ingest one closed window: resume each fleet's run, re-predict.
 
-        Must be called in window order (the
-        :class:`~repro.service.windows.WindowManager` emits windows that
-        way); the cumulative history simply concatenates each window's
-        events, and the simulators sort by arrival time themselves.
+        Each fleet's live run admits the window's events (and those of any
+        windows absorbed since the last observe), sorted by arrival time,
+        and the report measures a drained copy of it: the cost is those
+        events plus the in-flight work, not the history.  Windows come in
+        window order from the :class:`~repro.service.windows.WindowManager`;
+        one that reaches back before the last admitted arrival rebuilds the
+        runs from the history, so the report still equals a batch run over
+        windows 0..k.
         """
         if not window.queries:
             raise ValueError(f"window {window.index} is empty; nothing to simulate")
-        self._history.extend(window.queries)
-        self._windows_observed += 1
+        self._admit(window)
         offered_qps = window.mean_rate_qps
-        self._window_rates.add(offered_qps)
-        self._size_rollup.fold([float(q.size) for q in window.queries])
 
         capacities = self._predict_capacities()
         verdicts: List[ConfigVerdict] = []
         for state, capacity in zip(self._fleets, capacities):
-            measured = self._resimulate(state)
+            measured = self._catch_up(state).finish()
             verdicts.append(
                 ConfigVerdict(
                     config=state.spec.name,
@@ -341,22 +347,20 @@ class DigitalTwin:
         )
 
     def absorb(self, window: Window) -> None:
-        """Fold one closed window into the history without re-simulating.
+        """Fold one closed window into the history without simulating it now.
 
         The cheap sibling of :meth:`observe`: the window's events join the
-        cumulative history (and the rate tracker sees its offered rate),
-        but no simulation or capacity prediction runs and no report is
-        emitted.  Because every later :meth:`observe` re-simulates the
-        *whole* history, absorbing conserves bit-identity of all subsequent
-        cumulative measurements — which is what makes it safe for both
+        cumulative history (and the rate tracker sees its offered rate) and
+        are queued for the fleets' live runs, which admit them on the next
+        :meth:`observe` or :meth:`last_cumulative_result`.  No simulation or
+        capacity prediction runs and no report is emitted.  Every event is
+        still simulated once, so absorbing conserves bit-identity of all
+        later measurements — which is what makes it safe for both
         checkpoint resume (:meth:`restore`) and load shedding.
         """
         if not window.queries:
             raise ValueError(f"window {window.index} is empty; nothing to absorb")
-        self._history.extend(window.queries)
-        self._windows_observed += 1
-        self._window_rates.add(window.mean_rate_qps)
-        self._size_rollup.fold([float(q.size) for q in window.queries])
+        self._admit(window)
 
     def restore(self, windows: List[Window]) -> None:
         """Adopt a journalled window sequence (crash recovery, in order)."""
@@ -364,15 +368,16 @@ class DigitalTwin:
             self.absorb(window)
 
     def last_cumulative_result(self, config: Optional[str] = None) -> ClusterSimulationResult:
-        """Re-run the cumulative simulation for one config (default: real).
+        """Measure one config's live run over the whole history (default: real).
 
-        A deterministic replay of what the most recent :meth:`observe`
-        measured — the bit-identity tests compare this against a one-shot
-        batch run over the same events.
+        The :meth:`~repro.serving.cluster.ClusterRun.finish` of the run the
+        most recent :meth:`observe` measured, after admitting any windows
+        absorbed since — the bit-identity tests compare this against a
+        one-shot batch run over the same events.
         """
         if not self._history:
             raise ValueError("no windows observed yet")
-        return self._resimulate(self._state(config))
+        return self._catch_up(self._state(config)).finish()
 
     def close(self) -> None:
         """Release twin-owned resources (the private cache directory)."""
@@ -398,9 +403,35 @@ class DigitalTwin:
             f"unknown config {config!r}; have {[s.spec.name for s in self._fleets]}"
         )
 
-    def _resimulate(self, state: _FleetState) -> ClusterSimulationResult:
-        """One cumulative pass over the history for one fleet config."""
-        return state.simulator.run(self._history)
+    def _admit(self, window: Window) -> None:
+        """Append a closed window to the history (the live runs admit it later)."""
+        self._history.extend(window.queries)
+        self._windows_observed += 1
+        self._window_rates.add(window.mean_rate_qps)
+        self._size_rollup.fold([float(q.size) for q in window.queries])
+
+    def _catch_up(self, state: _FleetState) -> ClusterRun:
+        """Admit the history events one fleet's live run has not seen yet.
+
+        The cost is those events.  Sorted, they extend the run's stream
+        exactly as one stable sort of the whole history would order it,
+        unless one arrives before the last admitted arrival; then the run is
+        rebuilt from the whole history.  A run interrupted mid-advance is
+        dropped, so the next call rebuilds it.
+        """
+        live = state.live
+        fresh = self._history[state.admitted :]
+        if fresh:
+            ordered = sorted(fresh, key=_arrival_key)
+            state.live = None
+            if live is None or ordered[0].arrival_time < live.last_arrival:
+                live = state.simulator.start()
+                ordered = sorted(self._history, key=_arrival_key)
+            live.advance(ordered)
+            state.live = live
+            state.admitted = len(self._history)
+        assert live is not None, "no events admitted"
+        return live
 
     def _predict_capacities(self):
         """Both fleets' capacity at the SLA, via the shared memoised search.

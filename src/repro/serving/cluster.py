@@ -31,13 +31,15 @@ Five balancing policies ship by default:
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import random
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
@@ -599,61 +601,414 @@ def _healthy_least_loaded(
 def _discard_latency(latency: float) -> None:
     """No-op recorder swapped in once a CertainAcceptance certificate fires.
 
-    The streamed loop cannot jump into a separate drain function (the
-    iterator's consumption checks still need to run), so it keeps the same
-    loop and just stops retaining latencies.
+    The loops keep running after the certificate (the drain time is part of
+    the stability check, and the balancer still routes on live counters),
+    so they just stop retaining latencies.
     """
 
 
-def _drain_cluster_events(
-    events: List[tuple],
-    ordered: Sequence[Query],
-    cursor: int,
-    next_arrival: float,
+#: Query ids below this pack into a resumable run's 64-bit id record.
+_PACKED_ID_LIMIT = 2**64
+
+
+def _fleet_result(
+    simulator: "ClusterSimulator",
     kernels: Sequence[ServerKernel],
-    choose: Any,
-    policy: str,
+    tracker: PercentileTracker,
+    late_tracker: Optional[PercentileTracker],
+    first_arrival: float,
+    last_arrival: float,
     last_completion: float,
-) -> float:
-    """Run the cluster event loop to exhaustion without recording latencies.
+    num_queries: int,
+    per_server_latencies: Optional[List[List[float]]] = None,
+    fault_stats: Optional[FaultStats] = None,
+) -> ClusterSimulationResult:
+    """Assemble one run's fleet measurements (shared by every cluster loop).
 
-    The fleet counterpart of the single-server drain: once a
-    :class:`~repro.serving.simulator.CertainAcceptance` certificate fires,
-    the remaining completions cannot change the verdict, but the drain time
-    is part of the stability check, so the mechanics — balancer routing
-    included, since it observes live outstanding-work counters — still run
-    with per-query measurement skipped.  Returns the exact last completion.
+    ``tracker`` holds the measured latencies; ``late_tracker`` is the
+    sketch-mode late-window tracker, and ``None`` means exact mode, where
+    the late window is the second half of the retained samples.
     """
-    heappop = heapq.heappop
-    num_kernels = len(kernels)
-    num_arrivals = len(ordered)
-    while True:
-        if events:
-            head = events[0]
-            now = head[0]
-            if now <= next_arrival:
-                _, kind, _, server_index, query_id = heappop(events)
-                if kind == EVT_CPU_DONE:
-                    if kernels[server_index].on_cpu_done(query_id, now) is None:
-                        continue
-                else:  # EVT_GPU_DONE
-                    kernels[server_index].on_gpu_done(query_id, now)
-                if now > last_completion:
-                    last_completion = now
-                continue
-        if cursor >= num_arrivals:
-            return last_completion
-        query = ordered[cursor]
-        cursor += 1
-        next_arrival = (
-            ordered[cursor].arrival_time if cursor < num_arrivals else _INFINITY
+    duration = max(last_completion - first_arrival, 1e-9)
+    offered_duration = max(last_arrival - first_arrival, 1e-9)
+    measured = tracker.count
+    if measured == 0:
+        raise ValueError(
+            "no queries outside the warmup window; lower warmup_fraction or "
+            "send more queries"
         )
-        chosen = choose(query, kernels)
-        if not 0 <= chosen < num_kernels:
-            raise ValueError(
-                f"balancer {policy!r} chose server {chosen} of {num_kernels}"
+    if late_tracker is None:
+        samples = tracker.samples()
+        p95_late = late_window_p95(samples)
+    else:
+        samples = []
+        p95_late = late_tracker.percentile(95) if late_tracker.raw_count else 0.0
+
+    per_server: List[ServerLoadSummary] = []
+    total_core_busy = 0.0
+    total_cores = 0
+    for server, kernel in zip(simulator.servers, kernels):
+        total_core_busy += kernel.cpu_busy_time
+        total_cores += kernel.num_cores
+        per_server.append(
+            ServerLoadSummary(
+                name=server.name,
+                num_queries=kernel.num_submitted,
+                num_items=kernel.total_items,
+                cpu_utilization=min(
+                    1.0, kernel.cpu_busy_time / (kernel.num_cores * duration)
+                ),
+                gpu_utilization=min(1.0, kernel.gpu_busy_time / duration),
+                gpu_work_fraction=(
+                    kernel.gpu_items / kernel.total_items if kernel.total_items else 0.0
+                ),
+                query_share=kernel.num_submitted / num_queries,
             )
-        kernels[chosen].submit(query, query.arrival_time)
+        )
+
+    return ClusterSimulationResult(
+        policy=simulator.policy,
+        num_servers=len(kernels),
+        num_queries=num_queries,
+        measured_queries=measured,
+        duration_s=duration,
+        p50_latency_s=tracker.p50(),
+        p95_latency_s=tracker.p95(),
+        p99_latency_s=tracker.p99(),
+        mean_latency_s=tracker.mean(),
+        achieved_qps=num_queries / duration,
+        offered_qps=num_queries / offered_duration,
+        fleet_cpu_utilization=min(1.0, total_core_busy / (total_cores * duration)),
+        per_server=per_server,
+        p95_late_window_s=p95_late,
+        drain_s=max(0.0, last_completion - last_arrival),
+        arrival_span_s=offered_duration,
+        latencies_s=samples,
+        per_server_latencies=per_server_latencies,
+        fault_stats=fault_stats,
+    )
+
+
+class ClusterRun:
+    """One pass of the no-fault cluster event loop, resumable between arrivals.
+
+    The run owns everything the loop mutates — the kernels, the shared
+    completion heap, the heap's sequence counter and a balancer instance —
+    so it can stop after any arrival and pick up again later.
+    :meth:`ClusterSimulator.run` is one :meth:`_advance` over the whole
+    sorted trace; :meth:`ClusterSimulator.start` opens a run that admits
+    a stream piece by piece:
+
+    * :meth:`advance` admits time-ordered arrivals, processing every
+      completion at or before each one exactly as a single pass would, and
+      stops right after the last of them;
+    * :meth:`finish` drains a copy of the in-flight state (heap, queues,
+      split-query bookkeeping, busy counters; engines and latency tables
+      are shared) and measures it.  The live run is untouched, so the
+      stream can continue, and each :meth:`finish` equals
+      ``ClusterSimulator.run`` over every arrival admitted so far, bit for
+      bit.
+
+    Because the warmup window is a fraction of the *final* stream length, a
+    resumable run records every completion as a ``(query_id, latency)``
+    pair and applies :meth:`ClusterSimulator.run`'s warmup rule at
+    :meth:`finish` time.  It retains a latency and an id per completion
+    plus each arrival's id (24 bytes a query) in both statistics modes.
+    The cost of an :meth:`advance` is its arrivals' events; the cost of a
+    :meth:`finish` is the in-flight work plus one vectorised pass over that
+    record.
+
+    >>> from repro.execution.engine import EnginePair, build_cpu_engine
+    >>> from repro.queries.generator import LoadGenerator
+    >>> engines = EnginePair(cpu=build_cpu_engine("ncf", "broadwell"), gpu=None)
+    >>> config = ServingConfig(batch_size=64, num_cores=4)
+    >>> simulator = ClusterSimulator(homogeneous_fleet(engines, config, 2))
+    >>> stream = LoadGenerator(seed=3).with_rate(200.0).generate(300)
+    >>> live = simulator.start()
+    >>> live.advance(stream[:150])
+    >>> live.advance(stream[150:])
+    >>> live.finish().latencies_s == simulator.run(stream).latencies_s
+    True
+    """
+
+    def __init__(
+        self,
+        simulator: "ClusterSimulator",
+        balancer: LoadBalancer,
+        warmup_ids: Optional[Set[int]] = None,
+        record: Optional[Callable[[float], None]] = None,
+    ) -> None:
+        self._simulator = simulator
+        self._counter = itertools.count()
+        self._events: List[tuple] = []
+        self._kernels = [
+            ServerKernel(server.engines, server.config, cores, self._events, self._counter, index)
+            for index, (server, cores) in enumerate(
+                zip(simulator._servers, simulator._cores)
+            )
+        ]
+        balancer.prepare(simulator._servers)
+        balancer.reset(len(self._kernels))
+        self._choose = balancer.choose
+        self._first_arrival: Optional[float] = None
+        self._last_arrival = -_INFINITY
+        self._last_completion = -_INFINITY
+        self._per_server_latencies: Optional[List[List[float]]] = None
+        self._latencies: Any
+        self._completed_ids: Any
+        if warmup_ids is None:
+            # Resumable: the warmup window is not known yet, so every
+            # completion is recorded with its id (packed, 16 bytes a query)
+            # and the warmup rule is applied at finish().
+            self._warmup_ids: Set[int] = set()
+            self._latencies = array("d")
+            self._completed_ids = array("Q")
+            self._admitted: Any = array("Q")
+        else:
+            self._warmup_ids = warmup_ids
+            self._latencies = []
+            self._completed_ids = None
+            if simulator._collect_per_server:
+                self._per_server_latencies = [[] for _ in self._kernels]
+        self._record = record if record is not None else self._latencies.append
+
+    @property
+    def last_arrival(self) -> float:
+        """Arrival time of the latest admitted query (``-inf`` before any)."""
+        return self._last_arrival
+
+    def advance(self, arrivals: Sequence[Query]) -> None:
+        """Admit ``arrivals``, sorted by arrival time and none before the last.
+
+        Completions at or before each arrival are processed first, exactly
+        as a single pass over the whole stream processes them; work still
+        in flight after the last arrival stays in flight.  A call that
+        raises after validation leaves the run part-advanced: discard it.
+        """
+        if not arrivals:
+            return
+        previous = self._last_arrival
+        for query in arrivals:
+            if query.arrival_time < previous:
+                raise ValueError(
+                    "advance() requires arrivals sorted by time and none "
+                    f"earlier than the last admitted ({previous}); query "
+                    f"{query.query_id} arrives at {query.arrival_time}"
+                )
+            previous = query.arrival_time
+        ids = [query.query_id for query in arrivals]
+        if isinstance(self._admitted, array) and max(ids) >= _PACKED_ID_LIMIT:
+            # Ids too wide to pack: keep Python ints from here on.
+            self._admitted = list(self._admitted)
+            self._completed_ids = list(self._completed_ids)
+        self._admitted.extend(ids)
+        self._advance(arrivals, -_INFINITY)
+
+    def finish(self) -> ClusterSimulationResult:
+        """Measure the stream admitted so far, leaving this run resumable.
+
+        Equal to :meth:`ClusterSimulator.run` over every admitted arrival.
+        """
+        if self._first_arrival is None:
+            raise ValueError("cannot simulate an empty query stream")
+        drained = copy.copy(self)
+        drained._counter = itertools.count(next(self._counter))
+        drained._events = list(self._events)
+        drained._kernels = [
+            kernel.fork(drained._events, drained._counter) for kernel in self._kernels
+        ]
+        drained._latencies = self._latencies[:0]
+        drained._record = drained._latencies.append
+        drained._completed_ids = self._completed_ids[:0]
+        drained._advance((), _INFINITY)
+
+        # run()'s warmup rule: no query whose id is among the first
+        # warmup_count arrivals is measured.
+        simulator = self._simulator
+        num_queries = len(self._admitted)
+        warmup_count = int(num_queries * simulator.warmup_fraction)
+        latencies = np.concatenate((self._latencies, drained._latencies))
+        if warmup_count:
+            completed_ids = self._completed_ids + drained._completed_ids
+            warmup_ids = self._admitted[:warmup_count]
+            if isinstance(completed_ids, array):
+                warmup = np.isin(np.asarray(completed_ids), np.asarray(warmup_ids))
+            else:
+                lookup = set(warmup_ids)
+                warmup = np.fromiter(
+                    (query_id in lookup for query_id in completed_ids),
+                    dtype=bool,
+                    count=len(completed_ids),
+                )
+            latencies = latencies[~warmup]
+        if simulator.latency_stats == "sketch":
+            tracker = PercentileTracker(mode="sketch")
+            late_tracker: Optional[PercentileTracker] = PercentileTracker(mode="sketch")
+            record, flush_chunks = _sketch_recorder(
+                tracker, late_tracker, (num_queries - warmup_count) // 2
+            )
+            for latency in latencies.tolist():
+                record(latency)
+            flush_chunks()
+        else:
+            tracker = PercentileTracker()
+            tracker.extend(latencies)
+            late_tracker = None
+        return _fleet_result(
+            simulator,
+            drained._kernels,
+            tracker,
+            late_tracker,
+            self._first_arrival,
+            self._last_arrival,
+            drained._last_completion,
+            num_queries,
+        )
+
+    def _advance(
+        self,
+        ordered: Sequence[Query],
+        tail: float,
+        measured_total: int = 0,
+        reject_above_sla_s: Optional[float] = None,
+        accept_within_sla_s: Optional[float] = None,
+    ) -> Union[None, CertainRejection, CertainAcceptance]:
+        """The event loop: admit ``ordered``, then run the heap up to ``tail``.
+
+        ``tail`` stands in for the arrival after the last one: ``inf``
+        drains every completion (a whole run), ``-inf`` stops right after
+        the last arrival (a resumable step).  The certificates (see
+        :meth:`ClusterSimulator.run`) are for whole runs only; they need
+        ``measured_total`` and return the certificate instead of ``None``.
+        """
+        if ordered:
+            if self._first_arrival is None:
+                self._first_arrival = self._last_completion = ordered[0].arrival_time
+            next_arrival = ordered[0].arrival_time
+        else:
+            next_arrival = tail
+        reject_sla = reject_above_sla_s if reject_above_sla_s is not None else _INFINITY
+        reject_needed = certain_rejection_threshold(measured_total)
+        over_sla = 0
+
+        # Certain-acceptance bookkeeping (see ServingSimulator.run): the
+        # late-window boundary is known up front in a no-fault run, so both
+        # the whole-run and late-window certificates can be tracked.
+        accept_armed = accept_within_sla_s is not None
+        accept_sla = accept_within_sla_s if accept_armed else _INFINITY
+        late_start = measured_total // 2
+        accept_allowed = certain_acceptance_threshold(measured_total)
+        accept_allowed_late = certain_acceptance_threshold(measured_total - late_start)
+        accept_over = 0
+        accept_over_late = 0
+        accepted: Optional[CertainAcceptance] = None
+
+        # Arrivals are consumed straight from the sorted list with a cursor
+        # (the balancer assigns their server at that point); only completions
+        # go through the event heap, as (time, kind, seq, server, query_id).
+        # A completion at time t is processed before an arrival at the same
+        # instant, matching the EVT_* ordering of the all-in-one-heap form.
+        #
+        # Hot loop: bind everything to locals; the branch order matches the
+        # event frequency (CPU completions > arrivals > GPU completions).
+        events = self._events
+        kernels = self._kernels
+        heappop = heapq.heappop
+        choose = self._choose
+        warmup_ids = self._warmup_ids
+        record = self._record
+        completed_ids = self._completed_ids
+        record_id = completed_ids.append if completed_ids is not None else None
+        per_server_latencies = self._per_server_latencies
+        last_completion = self._last_completion
+        measured_count = 0
+        num_kernels = len(kernels)
+        num_arrivals = len(ordered)
+        cursor = 0
+        with pause_gc():
+            while True:
+                if events:
+                    head = events[0]
+                    now = head[0]
+                    if now <= next_arrival:
+                        _, kind, _, server_index, query_id = heappop(events)
+                        if kind == EVT_CPU_DONE:
+                            completed = kernels[server_index].on_cpu_done(query_id, now)
+                            if completed is None:
+                                continue
+                        else:  # EVT_GPU_DONE
+                            completed = kernels[server_index].on_gpu_done(query_id, now)
+                        if now > last_completion:
+                            last_completion = now
+                        if completed.query_id not in warmup_ids:
+                            latency = now - completed.arrival_time
+                            record(latency)
+                            measured_count += 1
+                            if record_id is not None:
+                                record_id(completed.query_id)
+                            if per_server_latencies is not None:
+                                per_server_latencies[server_index].append(latency)
+                            if latency > reject_sla:
+                                over_sla += 1
+                                if over_sla >= reject_needed:
+                                    return CertainRejection(
+                                        sla_latency_s=reject_sla,
+                                        measured_queries=measured_count,
+                                        over_sla_queries=over_sla,
+                                    )
+                            if accept_armed:
+                                if latency > accept_sla:
+                                    accept_over += 1
+                                    if measured_count > late_start:
+                                        accept_over_late += 1
+                                remaining = measured_total - measured_count
+                                if (
+                                    accept_over + remaining <= accept_allowed
+                                    and accept_over_late + remaining
+                                    <= accept_allowed_late
+                                ):
+                                    # Certificate fired: stop measuring, but
+                                    # run on to the last completion so the
+                                    # drain time stays exact.
+                                    accept_armed = False
+                                    reject_sla = _INFINITY
+                                    record = _discard_latency
+                                    per_server_latencies = None
+                                    accepted = CertainAcceptance(
+                                        sla_latency_s=accept_sla,
+                                        measured_queries=measured_count,
+                                        over_sla_queries=accept_over,
+                                        drain_s=0.0,
+                                        arrival_span_s=0.0,
+                                    )
+                        continue
+                if cursor >= num_arrivals:
+                    break
+                query = ordered[cursor]
+                cursor += 1
+                next_arrival = (
+                    ordered[cursor].arrival_time if cursor < num_arrivals else tail
+                )
+                chosen = choose(query, kernels)
+                if not 0 <= chosen < num_kernels:
+                    raise ValueError(
+                        f"balancer {self._simulator.policy!r} chose server "
+                        f"{chosen} of {num_kernels}"
+                    )
+                kernels[chosen].submit(query, query.arrival_time)
+
+        self._last_completion = last_completion
+        if ordered:
+            self._last_arrival = ordered[-1].arrival_time
+        if accepted is not None:
+            return CertainAcceptance(
+                sla_latency_s=accepted.sla_latency_s,
+                measured_queries=accepted.measured_queries,
+                over_sla_queries=accepted.over_sla_queries,
+                drain_s=max(0.0, last_completion - self._last_arrival),
+                arrival_span_s=max(self._last_arrival - self._first_arrival, 1e-9),
+            )
+        return None
 
 
 class ClusterSimulator:
@@ -745,6 +1100,13 @@ class ClusterSimulator:
         return self._latency_stats
 
     @property
+    def warmup_fraction(self) -> float:
+        """Leading fraction of each run's arrivals excluded from measurement."""
+        if self._warmup_fraction is not None:
+            return self._warmup_fraction
+        return self._servers[0].config.warmup_fraction
+
+    @property
     def fault_plan(self) -> Optional[FaultPlan]:
         """The injected fault plan, or ``None`` (empty plans normalise to None)."""
         return self._fault_plan
@@ -787,8 +1149,9 @@ class ClusterSimulator:
         delegated to the fault-injected loop: servers crash (losing in-flight
         work, handled per the :class:`~repro.faults.RetryPolicy`), recover,
         and straggle mid-trace, and the result carries a
-        :class:`~repro.faults.FaultStats`.  Without a plan this method is the
-        original loop, untouched — zero-plan runs are bit-identical to
+        :class:`~repro.faults.FaultStats`.  Without a plan the run is one
+        :class:`ClusterRun` pass over the sorted trace — the same loop
+        :meth:`start` resumes — and zero-plan runs are bit-identical to
         pre-fault-support builds (``tests/test_faults.py``).
         """
         if not queries:
@@ -797,216 +1160,63 @@ class ClusterSimulator:
             return self._run_with_faults(queries, reject_above_sla_s)
 
         ordered = sorted(queries, key=_arrival_key)
-        warmup_fraction = (
-            self._warmup_fraction
-            if self._warmup_fraction is not None
-            else self._servers[0].config.warmup_fraction
-        )
-        warmup_count = int(len(ordered) * warmup_fraction)
-        warmup_ids = {q.query_id for q in ordered[:warmup_count]}
+        warmup_count = int(len(ordered) * self.warmup_fraction)
         measured_total = len(ordered) - warmup_count
-        reject_sla = reject_above_sla_s if reject_above_sla_s is not None else _INFINITY
-        reject_needed = certain_rejection_threshold(measured_total)
-        over_sla = 0
-
-        # Certain-acceptance bookkeeping (see ServingSimulator.run): the
-        # late-window boundary is known up front in a no-fault run, so both
-        # the whole-run and late-window certificates can be tracked.
-        accept_armed = accept_within_sla_s is not None
-        accept_sla = accept_within_sla_s if accept_armed else _INFINITY
-        late_start = measured_total // 2
-        accept_allowed = certain_acceptance_threshold(measured_total)
-        accept_allowed_late = certain_acceptance_threshold(measured_total - late_start)
-        accept_over = 0
-        accept_over_late = 0
-
-        # Arrivals are consumed straight from the sorted list with a cursor
-        # (the balancer assigns their server at that point); only completions
-        # go through the event heap, as (time, kind, seq, server, query_id).
-        # A completion at time t is processed before an arrival at the same
-        # instant, matching the EVT_* ordering of the all-in-one-heap form.
-        counter = itertools.count()
-        events: List[tuple] = []
-        kernels = [
-            ServerKernel(server.engines, server.config, cores, events, counter, index)
-            for index, (server, cores) in enumerate(zip(self._servers, self._cores))
-        ]
-        self._balancer.prepare(self._servers)
-        self._balancer.reset(len(kernels))
-
-        first_arrival = ordered[0].arrival_time
-        last_completion = first_arrival
-
-        # Hot loop: bind everything to locals; the branch order matches the
-        # event frequency (CPU completions > arrivals > GPU completions).
-        # Measured latencies collect into a plain list and feed the tracker
-        # in one vectorized pass after the run.
-        heappop = heapq.heappop
-        choose = self._balancer.choose
-        measured_latencies: List[float] = []
         sketch_mode = self._latency_stats == "sketch"
         if sketch_mode:
             tracker = PercentileTracker(mode="sketch")
-            late_tracker = PercentileTracker(mode="sketch")
-            record, flush_chunks = _sketch_recorder(tracker, late_tracker, late_start)
+            late_tracker: Optional[PercentileTracker] = PercentileTracker(mode="sketch")
+            record, flush_chunks = _sketch_recorder(
+                tracker, late_tracker, measured_total // 2
+            )
         else:
-            record = measured_latencies.append
-        measured_count = 0
-        per_server_latencies: Optional[List[List[float]]] = (
-            [[] for _ in kernels] if self._collect_per_server else None
+            record = None
+        live = ClusterRun(
+            self,
+            self._balancer,
+            warmup_ids={q.query_id for q in ordered[:warmup_count]},
+            record=record,
         )
-        num_kernels = len(kernels)
-        num_arrivals = len(ordered)
-        cursor = 0
-        next_arrival = first_arrival
-        with pause_gc():
-            while True:
-                if events:
-                    head = events[0]
-                    now = head[0]
-                    if now <= next_arrival:
-                        _, kind, _, server_index, query_id = heappop(events)
-                        if kind == EVT_CPU_DONE:
-                            completed = kernels[server_index].on_cpu_done(query_id, now)
-                            if completed is None:
-                                continue
-                        else:  # EVT_GPU_DONE
-                            completed = kernels[server_index].on_gpu_done(query_id, now)
-                        if now > last_completion:
-                            last_completion = now
-                        if completed.query_id not in warmup_ids:
-                            latency = now - completed.arrival_time
-                            record(latency)
-                            measured_count += 1
-                            if per_server_latencies is not None:
-                                per_server_latencies[server_index].append(latency)
-                            if latency > reject_sla:
-                                over_sla += 1
-                                if over_sla >= reject_needed:
-                                    return CertainRejection(
-                                        sla_latency_s=reject_sla,
-                                        measured_queries=measured_count,
-                                        over_sla_queries=over_sla,
-                                    )
-                            if accept_armed:
-                                if latency > accept_sla:
-                                    accept_over += 1
-                                    if measured_count > late_start:
-                                        accept_over_late += 1
-                                remaining = measured_total - measured_count
-                                if (
-                                    accept_over + remaining <= accept_allowed
-                                    and accept_over_late + remaining
-                                    <= accept_allowed_late
-                                ):
-                                    last_completion = _drain_cluster_events(
-                                        events,
-                                        ordered,
-                                        cursor,
-                                        next_arrival,
-                                        kernels,
-                                        choose,
-                                        self.policy,
-                                        last_completion,
-                                    )
-                                    return CertainAcceptance(
-                                        sla_latency_s=accept_sla,
-                                        measured_queries=measured_count,
-                                        over_sla_queries=accept_over,
-                                        drain_s=max(
-                                            0.0,
-                                            last_completion
-                                            - ordered[-1].arrival_time,
-                                        ),
-                                        arrival_span_s=max(
-                                            ordered[-1].arrival_time - first_arrival,
-                                            1e-9,
-                                        ),
-                                    )
-                        continue
-                if cursor >= num_arrivals:
-                    break
-                query = ordered[cursor]
-                cursor += 1
-                next_arrival = (
-                    ordered[cursor].arrival_time if cursor < num_arrivals else _INFINITY
-                )
-                chosen = choose(query, kernels)
-                if not 0 <= chosen < num_kernels:
-                    raise ValueError(
-                        f"balancer {self.policy!r} chose server {chosen} of "
-                        f"{num_kernels}"
-                    )
-                kernels[chosen].submit(query, query.arrival_time)
-
+        outcome = live._advance(
+            ordered, _INFINITY, measured_total, reject_above_sla_s, accept_within_sla_s
+        )
+        if outcome is not None:
+            return outcome
         if sketch_mode:
             flush_chunks()
-            samples: List[float] = []
         else:
             tracker = PercentileTracker()
-            tracker.extend(measured_latencies)
-
-        duration = max(last_completion - first_arrival, 1e-9)
-        offered_duration = max(ordered[-1].arrival_time - first_arrival, 1e-9)
-        measured = tracker.count
-        if measured == 0:
-            raise ValueError(
-                "no queries outside the warmup window; lower warmup_fraction or "
-                "send more queries"
-            )
-        if sketch_mode:
-            p95_late = (
-                late_tracker.percentile(95) if late_tracker.raw_count else 0.0
-            )
-        else:
-            samples = tracker.samples()
-            p95_late = late_window_p95(samples)
-
-        total_queries = len(ordered)
-        per_server: List[ServerLoadSummary] = []
-        total_core_busy = 0.0
-        total_cores = 0
-        for server, kernel in zip(self._servers, kernels):
-            total_core_busy += kernel.cpu_busy_time
-            total_cores += kernel.num_cores
-            per_server.append(
-                ServerLoadSummary(
-                    name=server.name,
-                    num_queries=kernel.num_submitted,
-                    num_items=kernel.total_items,
-                    cpu_utilization=min(
-                        1.0, kernel.cpu_busy_time / (kernel.num_cores * duration)
-                    ),
-                    gpu_utilization=min(1.0, kernel.gpu_busy_time / duration),
-                    gpu_work_fraction=(
-                        kernel.gpu_items / kernel.total_items
-                        if kernel.total_items
-                        else 0.0
-                    ),
-                    query_share=kernel.num_submitted / total_queries,
-                )
-            )
-
-        return ClusterSimulationResult(
-            policy=self.policy,
-            num_servers=len(kernels),
-            num_queries=total_queries,
-            measured_queries=measured,
-            duration_s=duration,
-            p50_latency_s=tracker.p50(),
-            p95_latency_s=tracker.p95(),
-            p99_latency_s=tracker.p99(),
-            mean_latency_s=tracker.mean(),
-            achieved_qps=total_queries / duration,
-            offered_qps=total_queries / offered_duration,
-            fleet_cpu_utilization=min(1.0, total_core_busy / (total_cores * duration)),
-            per_server=per_server,
-            p95_late_window_s=p95_late,
-            drain_s=max(0.0, last_completion - ordered[-1].arrival_time),
-            arrival_span_s=offered_duration,
-            latencies_s=samples,
-            per_server_latencies=per_server_latencies,
+            tracker.extend(live._latencies)
+            late_tracker = None
+        return _fleet_result(
+            self,
+            live._kernels,
+            tracker,
+            late_tracker,
+            live._first_arrival,
+            ordered[-1].arrival_time,
+            live._last_completion,
+            len(ordered),
+            live._per_server_latencies,
         )
+
+    def start(self) -> ClusterRun:
+        """Open a resumable run over a stream admitted piece by piece.
+
+        The run gets its own copy of the balancer (reset as :meth:`run`
+        resets it), so it keeps its routing state across
+        :meth:`ClusterRun.advance` calls while this simulator serves other
+        runs.  Every :meth:`ClusterRun.finish` equals :meth:`run` over the
+        arrivals admitted so far.  Fault plans and per-server latency
+        collection are whole-run features and are not supported.
+        """
+        if self._fault_plan is not None:
+            raise ValueError("resumable runs do not support fault injection; use run()")
+        if self._collect_per_server:
+            raise ValueError(
+                "resumable runs do not collect per-server latencies; use run()"
+            )
+        return ClusterRun(self, copy.deepcopy(self._balancer))
 
     # ------------------------------------------------------------------ #
 
@@ -1052,12 +1262,7 @@ class ClusterSimulator:
         if pending is None:
             raise ValueError("cannot simulate an empty query stream")
 
-        warmup_fraction = (
-            self._warmup_fraction
-            if self._warmup_fraction is not None
-            else self._servers[0].config.warmup_fraction
-        )
-        warmup_count = int(num_queries * warmup_fraction)
+        warmup_count = int(num_queries * self.warmup_fraction)
         measured_total = num_queries - warmup_count
         reject_sla = reject_above_sla_s if reject_above_sla_s is not None else _INFINITY
         reject_needed = certain_rejection_threshold(measured_total)
@@ -1201,69 +1406,20 @@ class ClusterSimulator:
 
         if sketch_mode:
             flush_chunks()
-            samples: List[float] = []
         else:
             tracker = PercentileTracker()
             tracker.extend(measured_latencies)
-
-        duration = max(last_completion - first_arrival, 1e-9)
-        measured = tracker.count
-        if measured == 0:
-            raise ValueError(
-                "no queries outside the warmup window; lower warmup_fraction or "
-                "send more queries"
-            )
-        if sketch_mode:
-            p95_late = (
-                late_tracker.percentile(95) if late_tracker.raw_count else 0.0
-            )
-        else:
-            samples = tracker.samples()
-            p95_late = late_window_p95(samples)
-
-        per_server: List[ServerLoadSummary] = []
-        total_core_busy = 0.0
-        total_cores = 0
-        for server, kernel in zip(self._servers, kernels):
-            total_core_busy += kernel.cpu_busy_time
-            total_cores += kernel.num_cores
-            per_server.append(
-                ServerLoadSummary(
-                    name=server.name,
-                    num_queries=kernel.num_submitted,
-                    num_items=kernel.total_items,
-                    cpu_utilization=min(
-                        1.0, kernel.cpu_busy_time / (kernel.num_cores * duration)
-                    ),
-                    gpu_utilization=min(1.0, kernel.gpu_busy_time / duration),
-                    gpu_work_fraction=(
-                        kernel.gpu_items / kernel.total_items
-                        if kernel.total_items
-                        else 0.0
-                    ),
-                    query_share=kernel.num_submitted / num_queries,
-                )
-            )
-
-        return ClusterSimulationResult(
-            policy=self.policy,
-            num_servers=num_kernels,
-            num_queries=num_queries,
-            measured_queries=measured,
-            duration_s=duration,
-            p50_latency_s=tracker.p50(),
-            p95_latency_s=tracker.p95(),
-            p99_latency_s=tracker.p99(),
-            mean_latency_s=tracker.mean(),
-            achieved_qps=num_queries / duration,
-            offered_qps=num_queries / offered_duration,
-            fleet_cpu_utilization=min(1.0, total_core_busy / (total_cores * duration)),
-            per_server=per_server,
-            p95_late_window_s=p95_late,
-            drain_s=max(0.0, last_completion - last_arrival),
-            arrival_span_s=offered_duration,
-            latencies_s=samples,
-            per_server_latencies=per_server_latencies,
+            late_tracker = None
+        return _fleet_result(
+            self,
+            kernels,
+            tracker,
+            late_tracker,
+            first_arrival,
+            last_arrival,
+            last_completion,
+            num_queries,
+            per_server_latencies,
         )
 
     # ------------------------------------------------------------------ #
@@ -1291,12 +1447,7 @@ class ClusterSimulator:
         later.
         """
         ordered = sorted(queries, key=_arrival_key)
-        warmup_fraction = (
-            self._warmup_fraction
-            if self._warmup_fraction is not None
-            else self._servers[0].config.warmup_fraction
-        )
-        warmup_count = int(len(ordered) * warmup_fraction)
+        warmup_count = int(len(ordered) * self.warmup_fraction)
         warmup_ids = {q.query_id for q in ordered[:warmup_count]}
         reject_sla = reject_above_sla_s if reject_above_sla_s is not None else _INFINITY
         # Computed from the zero-failure measured count: with failures the
@@ -1531,11 +1682,7 @@ class ClusterSimulator:
 
         tracker = PercentileTracker()
         tracker.extend(measured_latencies)
-
-        duration = max(last_completion - first_arrival, 1e-9)
-        offered_duration = max(ordered[-1].arrival_time - first_arrival, 1e-9)
-        measured = tracker.count
-        if measured == 0:
+        if tracker.count == 0:
             if reject_above_sla_s is not None:
                 # A capacity probe where every measured query died (e.g. a
                 # balancer blackholing the whole stream into a crashed
@@ -1550,53 +1697,17 @@ class ClusterSimulator:
                 "no queries completed outside the warmup window; lower the "
                 "fault rates, the warmup_fraction, or send more queries"
             )
-        samples = tracker.samples()
-
-        total_queries = len(ordered)
-        per_server: List[ServerLoadSummary] = []
-        total_core_busy = 0.0
-        total_cores = 0
-        for server, kernel in zip(self._servers, kernels):
-            total_core_busy += kernel.cpu_busy_time
-            total_cores += kernel.num_cores
-            per_server.append(
-                ServerLoadSummary(
-                    name=server.name,
-                    num_queries=kernel.num_submitted,
-                    num_items=kernel.total_items,
-                    cpu_utilization=min(
-                        1.0, kernel.cpu_busy_time / (kernel.num_cores * duration)
-                    ),
-                    gpu_utilization=min(1.0, kernel.gpu_busy_time / duration),
-                    gpu_work_fraction=(
-                        kernel.gpu_items / kernel.total_items
-                        if kernel.total_items
-                        else 0.0
-                    ),
-                    query_share=kernel.num_submitted / total_queries,
-                )
-            )
-
-        return ClusterSimulationResult(
-            policy=self.policy,
-            num_servers=num_kernels,
-            num_queries=total_queries,
-            measured_queries=measured,
-            duration_s=duration,
-            p50_latency_s=tracker.p50(),
-            p95_latency_s=tracker.p95(),
-            p99_latency_s=tracker.p99(),
-            mean_latency_s=tracker.mean(),
-            achieved_qps=total_queries / duration,
-            offered_qps=total_queries / offered_duration,
-            fleet_cpu_utilization=min(1.0, total_core_busy / (total_cores * duration)),
-            per_server=per_server,
-            p95_late_window_s=late_window_p95(samples),
-            drain_s=max(0.0, last_completion - ordered[-1].arrival_time),
-            arrival_span_s=offered_duration,
-            latencies_s=samples,
-            per_server_latencies=per_server_latencies,
-            fault_stats=stats,
+        return _fleet_result(
+            self,
+            kernels,
+            tracker,
+            None,
+            first_arrival,
+            ordered[-1].arrival_time,
+            last_completion,
+            len(ordered),
+            per_server_latencies,
+            stats,
         )
 
 

@@ -511,6 +511,31 @@ class ServerKernel:
         """
         self._server_index = server_index
 
+    def fork(self, events: List[tuple], counter: Iterator[int]) -> "ServerKernel":
+        """Copy of this kernel's in-flight state that pushes onto ``events``.
+
+        Engines, configuration and service-time rows are shared (they never
+        change during a run); the queues, the state map (split-query
+        bookkeeping cloned) and the busy/work counters are copied, so
+        draining the fork leaves this kernel exactly where it was.
+        """
+        fork = ServerKernel.__new__(ServerKernel)
+        for name in ServerKernel.__slots__:
+            setattr(fork, name, getattr(self, name))
+        fork._events = events
+        fork._counter = counter
+        fork._cpu_queue = deque(self._cpu_queue)
+        fork._gpu_queue = deque(self._gpu_queue)
+        fork._states = {
+            query_id: (
+                _QueryState(state.query, state.outstanding_requests)
+                if type(state) is _QueryState
+                else state
+            )
+            for query_id, state in self._states.items()
+        }
+        return fork
+
     def crash(self) -> List[Query]:
         """Fail the node: drop all queued and in-flight work.
 

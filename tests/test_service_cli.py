@@ -366,6 +366,24 @@ class TestGracefulShutdown:
         assert "real=" in captured.out
         assert "interrupted" in captured.err
 
+    def test_sigterm_held_during_startup_takes_clean_path(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import signal as _signal
+
+        import repro.service.__main__ as cli
+
+        _, queries = save_trace(tmp_path, num_queries=150)
+        lines = [f"{q.query_id},{q.arrival_time},{q.size}\n" for q in queries]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
+        # A SIGTERM that arrived while the pipeline was being built.
+        monkeypatch.setattr(cli, "_deferred_signals", [_signal.SIGTERM])
+        exit_code = main(["--stdin", "--window-s", "2", *FAST_FLEET_ARGS])
+        captured = capsys.readouterr()
+        assert exit_code == 130
+        assert "real=" not in captured.out  # shut down before reading
+        assert "interrupted" in captured.err
+
     def test_replay_interrupt_flushes_partial_window(self, tmp_path, capsys, monkeypatch):
         trace_path, queries = save_trace(tmp_path, num_queries=150)
 
@@ -408,7 +426,6 @@ class TestGracefulShutdownSignals:
 
     def test_sigterm_on_stdin_service_exits_cleanly(self, tmp_path):
         import signal as _signal
-        import time as _time
 
         queries = LoadGenerator(seed=3).with_rate(60.0).generate(200)
         lines = "".join(
@@ -420,11 +437,11 @@ class TestGracefulShutdownSignals:
         try:
             proc.stdin.write(lines)
             proc.stdin.flush()
-            deadline = _time.time() + 60
-            while _time.time() < deadline and proc.poll() is None:
-                _time.sleep(0.5)
-                proc.send_signal(_signal.SIGTERM)
-                break
+            # "reading events from stdin" on stderr is the readiness marker:
+            # from then on SIGTERM takes the clean shutdown path.
+            marker = proc.stderr.readline()
+            assert "reading events from stdin" in marker
+            proc.send_signal(_signal.SIGTERM)
             stdout, stderr = proc.communicate(timeout=60)
         finally:
             if proc.poll() is None:
