@@ -8,14 +8,14 @@ with the serving simulator, and stop once throughput degrades.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.hill_climber import ClimbResult, hill_climb, power_of_two_candidates
 from repro.execution.engine import EnginePair
 from repro.queries.generator import LoadGenerator
 from repro.queries.size_dist import MAX_QUERY_SIZE
-from repro.serving.capacity import find_max_qps
+from repro.serving.capacity import CapacityResult, find_max_qps
 from repro.serving.simulator import ServingConfig
 from repro.utils.validation import check_positive
 
@@ -28,6 +28,9 @@ class BatchTuningResult:
     best_qps: float
     sla_latency_s: float
     qps_by_batch_size: Dict[int, float]
+    #: The capacity search at ``best_batch_size``, kept so callers reporting
+    #: the tuned operating point need not search it again.
+    best_capacity: CapacityResult = field(repr=False, compare=False)
 
     @property
     def num_evaluations(self) -> int:
@@ -70,10 +73,9 @@ class BatchSizeTuner:
         """Batch-size candidates explored by the hill climb (powers of two)."""
         return power_of_two_candidates(self._min_batch_size, self._max_batch_size)
 
-    def capacity_at(self, batch_size: int, sla_latency_s: float) -> float:
-        """Max QPS under the SLA at one batch size (a single objective evaluation)."""
+    def _evaluate(self, batch_size: int, sla_latency_s: float) -> CapacityResult:
         config = ServingConfig(batch_size=batch_size, num_cores=self._num_cores)
-        outcome = find_max_qps(
+        return find_max_qps(
             self._engines,
             config,
             sla_latency_s,
@@ -81,19 +83,28 @@ class BatchSizeTuner:
             num_queries=self._num_queries,
             iterations=self._capacity_iterations,
         )
-        return outcome.max_qps
+
+    def capacity_at(self, batch_size: int, sla_latency_s: float) -> float:
+        """Max QPS under the SLA at one batch size (a single objective evaluation)."""
+        return self._evaluate(batch_size, sla_latency_s).max_qps
 
     def tune(self, sla_latency_s: float) -> BatchTuningResult:
         """Run the hill climb and return the best batch size with its QPS."""
         check_positive("sla_latency_s", sla_latency_s)
+        searches: Dict[int, CapacityResult] = {}
+
+        def objective(batch_size: int) -> float:
+            outcome = self._evaluate(batch_size, sla_latency_s)
+            searches[batch_size] = outcome
+            return outcome.max_qps
+
         climb: ClimbResult = hill_climb(
-            self.candidates(),
-            lambda batch: self.capacity_at(batch, sla_latency_s),
-            patience=self._patience,
+            self.candidates(), objective, patience=self._patience
         )
         return BatchTuningResult(
             best_batch_size=climb.best_candidate,
             best_qps=climb.best_value,
             sla_latency_s=sla_latency_s,
             qps_by_batch_size=climb.as_dict(),
+            best_capacity=searches[climb.best_candidate],
         )

@@ -14,7 +14,7 @@ cluster's QPS-at-SLA capacity via coordinate descent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -29,9 +29,9 @@ from repro.execution.engine import EnginePair
 from repro.queries.generator import LoadGenerator
 from repro.queries.size_dist import MAX_QUERY_SIZE
 from repro.runtime.pool import Future, TaskContext, WorkerPool, pool_scope
-from repro.serving.capacity import find_max_qps
+from repro.serving.capacity import CapacityResult, find_max_qps
 from repro.serving.cluster import ClusterServer, available_balancers, find_cluster_max_qps
-from repro.serving.simulator import ServingConfig, SimulationResult
+from repro.serving.simulator import ServingConfig
 from repro.utils.validation import check_positive
 
 
@@ -122,6 +122,9 @@ class OffloadTuningResult:
     sla_latency_s: float
     qps_by_threshold: Dict[int, float]
     gpu_work_fraction: float
+    #: The capacity search at ``best_threshold``, kept so callers reporting
+    #: the tuned operating point need not search it again.
+    best_capacity: CapacityResult = field(repr=False, compare=False)
 
     @property
     def num_evaluations(self) -> int:
@@ -164,13 +167,13 @@ class OffloadThresholdTuner:
 
     def _evaluate(
         self, threshold: int, batch_size: int, sla_latency_s: float
-    ) -> tuple:
+    ) -> CapacityResult:
         config = ServingConfig(
             batch_size=batch_size,
             num_cores=self._num_cores,
             offload_threshold=threshold,
         )
-        outcome = find_max_qps(
+        return find_max_qps(
             self._engines,
             config,
             sla_latency_s,
@@ -178,31 +181,32 @@ class OffloadThresholdTuner:
             num_queries=self._num_queries,
             iterations=self._capacity_iterations,
         )
-        return outcome.max_qps, outcome.result
 
     def tune(self, batch_size: int, sla_latency_s: float) -> OffloadTuningResult:
         """Run the hill climb over thresholds at a fixed CPU batch size."""
         check_positive("batch_size", batch_size)
         check_positive("sla_latency_s", sla_latency_s)
-        results: Dict[int, Optional[SimulationResult]] = {}
+        searches: Dict[int, CapacityResult] = {}
 
         def objective(threshold: int) -> float:
-            qps, result = self._evaluate(threshold, batch_size, sla_latency_s)
-            results[threshold] = result
-            return qps
+            outcome = self._evaluate(threshold, batch_size, sla_latency_s)
+            searches[threshold] = outcome
+            return outcome.max_qps
 
         climb: ClimbResult = hill_climb(
             self.candidates(), objective, patience=self._patience
         )
-        best_result = results.get(climb.best_candidate)
-        gpu_fraction = best_result.gpu_work_fraction if best_result is not None else 0.0
+        best = searches[climb.best_candidate]
         return OffloadTuningResult(
             best_threshold=climb.best_candidate,
             best_qps=climb.best_value,
             batch_size=batch_size,
             sla_latency_s=sla_latency_s,
             qps_by_threshold=climb.as_dict(),
-            gpu_work_fraction=gpu_fraction,
+            gpu_work_fraction=(
+                best.result.gpu_work_fraction if best.result is not None else 0.0
+            ),
+            best_capacity=best,
         )
 
 

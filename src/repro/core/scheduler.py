@@ -173,14 +173,15 @@ class DeepRecSched:
         config = ServingConfig(
             batch_size=tuning.best_batch_size, num_cores=self._num_cores
         )
-        qps, result = self._measure(config, sla_latency_s)
+        # The climb already searched this exact config (same engines, SLA,
+        # load and fidelity): report that search rather than repeat it.
         return self._operating_point(
             "deeprecsched-cpu",
             tier,
             sla_latency_s,
             config,
-            max(qps, tuning.best_qps),
-            result,
+            tuning.best_qps,
+            tuning.best_capacity.result,
             include_gpu_power=False,
         )
 
@@ -212,13 +213,12 @@ class DeepRecSched:
             num_cores=self._num_cores,
             offload_threshold=tuning.best_threshold,
         )
-        qps, result = self._measure(config, sla_latency_s)
         return self._operating_point(
             "deeprecsched-gpu",
             tier,
             sla_latency_s,
             config,
-            max(qps, tuning.best_qps),
-            result,
+            tuning.best_qps,
+            tuning.best_capacity.result,
             include_gpu_power=True,
         )

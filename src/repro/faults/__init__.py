@@ -12,6 +12,7 @@ from repro.faults.plan import (
     FaultStats,
     NodeFaultSchedule,
     NodeHealth,
+    NodeTimeline,
     RetryPolicy,
     StragglerEpisode,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "FaultStats",
     "NodeFaultSchedule",
     "NodeHealth",
+    "NodeTimeline",
     "RetryPolicy",
     "StragglerEpisode",
 ]

@@ -13,7 +13,9 @@ The simulator consumes a plan as a flat, time-sorted list of
 instant resolve in a fixed kind order (recoveries before crashes) so replays
 are bit-identical.  :class:`RetryPolicy` configures what happens to queries
 caught on a crashed node — fail them, or re-dispatch with a bounded retry
-budget and optional hedged duplicates.  :class:`NodeHealth` is the mutable
+budget and optional hedged duplicates.  :class:`NodeTimeline` is one node's
+transitions as the lookups a server kernel plans its work against.
+:class:`NodeHealth` is the mutable
 per-node view the simulator maintains and failure-aware balancers read, and
 :class:`FaultStats` is the tally a faulted run reports.
 
@@ -34,8 +36,9 @@ True
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.utils.rng import RngFactory
 from repro.utils.validation import check_non_negative, check_positive
@@ -46,6 +49,7 @@ __all__ = [
     "NodeFaultSchedule",
     "FaultEvent",
     "FaultPlan",
+    "NodeTimeline",
     "RetryPolicy",
     "NodeHealth",
     "FaultStats",
@@ -345,6 +349,75 @@ class FaultPlan:
                 for node, schedule in self.nodes.items()
             }
         )
+
+
+class NodeTimeline:
+    """One node's fault transitions, as lookups for planning work ahead.
+
+    A server kernel plans a query's whole execution when the query arrives,
+    so it needs the slowdown in force at instants still in the future, and
+    the node's next crash.  Both are fixed by the plan before the run starts.
+    Built from this node's :class:`FaultEvent` list in plan order, so equal
+    instants resolve exactly as the simulator's transition loop does.
+
+    >>> plan = FaultPlan({0: NodeFaultSchedule(
+    ...     crashes=(CrashWindow(5.0, 6.0),),
+    ...     stragglers=(StragglerEpisode(1.0, 2.0, 3.0),))})
+    >>> timeline = NodeTimeline.per_node(plan.events(1), 1)[0]
+    >>> timeline.scale_at(1.0), timeline.scale_before(1.0), timeline.scale_at(2.0)
+    (3.0, 1.0, 1.0)
+    >>> timeline.next_crash_after(4.0), timeline.next_crash_after(5.0)
+    (5.0, inf)
+    """
+
+    __slots__ = ("_slow_times", "_slow_scales", "_crash_times")
+
+    def __init__(self, events: Sequence[FaultEvent]) -> None:
+        self._slow_times: List[float] = []
+        self._slow_scales: List[float] = []
+        self._crash_times: List[float] = []
+        for event in events:
+            if event.kind == KIND_CRASH:
+                self._crash_times.append(event.time_s)
+            elif event.kind == KIND_SLOW_ON:
+                self._slow_times.append(event.time_s)
+                self._slow_scales.append(event.slowdown)
+            elif event.kind == KIND_SLOW_OFF:
+                self._slow_times.append(event.time_s)
+                self._slow_scales.append(1.0)
+
+    @classmethod
+    def per_node(
+        cls, events: Sequence[FaultEvent], num_servers: int
+    ) -> List[Optional["NodeTimeline"]]:
+        """Each node's timeline from a fleet's sorted transitions.
+
+        ``None`` for a node without transitions, so its kernel plans with
+        no fault lookups at all.
+        """
+        by_node: Dict[int, List[FaultEvent]] = {}
+        for event in events:
+            by_node.setdefault(event.node, []).append(event)
+        return [
+            cls(by_node[node]) if node in by_node else None
+            for node in range(num_servers)
+        ]
+
+    def scale_at(self, time_s: float) -> float:
+        """Slowdown once every transition at or before ``time_s`` applied."""
+        index = bisect_right(self._slow_times, time_s)
+        return self._slow_scales[index - 1] if index else 1.0
+
+    def scale_before(self, time_s: float) -> float:
+        """Slowdown set by the transitions strictly before ``time_s``."""
+        index = bisect_left(self._slow_times, time_s)
+        return self._slow_scales[index - 1] if index else 1.0
+
+    def next_crash_after(self, time_s: float) -> float:
+        """Time of the first crash strictly after ``time_s`` (``inf`` if none)."""
+        index = bisect_right(self._crash_times, time_s)
+        crashes = self._crash_times
+        return crashes[index] if index < len(crashes) else float("inf")
 
 
 # --------------------------------------------------------------------------- #

@@ -21,6 +21,7 @@ This module provides:
 from __future__ import annotations
 
 import math
+import weakref
 from abc import ABC, abstractmethod
 from typing import Union
 
@@ -33,6 +34,15 @@ from repro.utils.validation import check_positive
 MAX_QUERY_SIZE = 1000
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+#: Draws behind :meth:`QuerySizeDistribution.mean`'s default estimate.
+_MEAN_SAMPLES = 20000
+#: Default-argument ``mean()`` per distribution instance.  Kept outside the
+#: instance so ``vars(distribution)``, which capacity-search signatures read,
+#: stays exactly the distribution's parameters.
+_DEFAULT_MEANS: "weakref.WeakKeyDictionary[QuerySizeDistribution, float]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def _standard_normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -96,8 +106,22 @@ class QuerySizeDistribution(ABC):
         index = int(np.searchsorted(cdf, pct / 100.0, side="left"))
         return float(support[min(index, self._max_size - 1)])
 
-    def mean(self, count: int = 20000, rng: SeedLike = None) -> float:
-        """Monte-Carlo estimate of the mean query size."""
+    def mean(self, count: int = _MEAN_SAMPLES, rng: SeedLike = None) -> float:
+        """Monte-Carlo estimate of the mean query size.
+
+        The default estimate (20 000 draws from seed 1234) is a fixed number
+        for an instance, so it is computed once per instance and memoised;
+        calls with another ``count`` or an ``rng`` draw afresh.
+        """
+        if count != _MEAN_SAMPLES or rng is not None:
+            return self._sample_mean(count, rng)
+        cached = _DEFAULT_MEANS.get(self)
+        if cached is None:
+            cached = self._sample_mean(count, None)
+            _DEFAULT_MEANS[self] = cached
+        return cached
+
+    def _sample_mean(self, count: int, rng: SeedLike) -> float:
         samples = self.sample(count, rng=derive_rng(rng if rng is not None else 1234))
         return float(np.mean(samples))
 

@@ -53,6 +53,7 @@ from repro.faults.plan import (
     FaultPlan,
     FaultStats,
     NodeHealth,
+    NodeTimeline,
     RetryPolicy,
 )
 from repro.queries.generator import LoadGenerator
@@ -64,7 +65,6 @@ from repro.serving.capacity import (
     offload_size_stats,
 )
 from repro.serving.simulator import (
-    EVT_CPU_DONE,
     CertainAcceptance,
     CertainRejection,
     SLACriteriaMixin,
@@ -702,12 +702,12 @@ class ClusterRun:
     * :meth:`advance` admits time-ordered arrivals, processing every
       completion at or before each one exactly as a single pass would, and
       stops right after the last of them;
-    * :meth:`finish` drains a copy of the in-flight state (heap, queues,
-      split-query bookkeeping, busy counters; engines and latency tables
-      are shared) and measures it.  The live run is untouched, so the
-      stream can continue, and each :meth:`finish` equals
-      ``ClusterSimulator.run`` over every arrival admitted so far, bit for
-      bit.
+    * :meth:`finish` drains a copy of the in-flight state (event heap, each
+      kernel's core-free heap and query map, busy counters; engines and
+      latency tables are shared) and measures it.  The live run is
+      untouched, so the stream can continue, and each :meth:`finish`
+      equals ``ClusterSimulator.run`` over every arrival admitted so far,
+      bit for bit.
 
     Because the warmup window is a fraction of the *final* stream length, a
     resumable run records every completion as a ``(query_id, latency)``
@@ -904,13 +904,11 @@ class ClusterRun:
         accepted: Optional[CertainAcceptance] = None
 
         # Arrivals are consumed straight from the sorted list with a cursor
-        # (the balancer assigns their server at that point); only completions
-        # go through the event heap, as (time, kind, seq, server, query_id).
-        # A completion at time t is processed before an arrival at the same
-        # instant, matching the EVT_* ordering of the all-in-one-heap form.
-        #
-        # Hot loop: bind everything to locals; the branch order matches the
-        # event frequency (CPU completions > arrivals > GPU completions).
+        # (the balancer assigns their server at that point); only query
+        # completions go through the event heap, one per query, as
+        # (time, kind, seq, server, query_id).  A completion at time t is
+        # processed before an arrival at the same instant, as the kernels'
+        # plans assume.  Hot loop: bind everything to locals.
         events = self._events
         kernels = self._kernels
         heappop = heapq.heappop
@@ -931,21 +929,16 @@ class ClusterRun:
                     head = events[0]
                     now = head[0]
                     if now <= next_arrival:
-                        _, kind, _, server_index, query_id = heappop(events)
-                        if kind == EVT_CPU_DONE:
-                            completed = kernels[server_index].on_cpu_done(query_id, now)
-                            if completed is None:
-                                continue
-                        else:  # EVT_GPU_DONE
-                            completed = kernels[server_index].on_gpu_done(query_id, now)
+                        _, _, _, server_index, query_id = heappop(events)
+                        completed = kernels[server_index].retire(query_id)
                         if now > last_completion:
                             last_completion = now
-                        if completed.query_id not in warmup_ids:
+                        if query_id not in warmup_ids:
                             latency = now - completed.arrival_time
                             record(latency)
                             measured_count += 1
                             if record_id is not None:
-                                record_id(completed.query_id)
+                                record_id(query_id)
                             if per_server_latencies is not None:
                                 per_server_latencies[server_index].append(latency)
                             if latency > reject_sla:
@@ -1313,16 +1306,11 @@ class ClusterSimulator:
                     head = events[0]
                     now = head[0]
                     if now <= next_arrival:
-                        _, kind, _, server_index, query_id = heappop(events)
-                        if kind == EVT_CPU_DONE:
-                            completed = kernels[server_index].on_cpu_done(query_id, now)
-                            if completed is None:
-                                continue
-                        else:  # EVT_GPU_DONE
-                            completed = kernels[server_index].on_gpu_done(query_id, now)
+                        _, _, _, server_index, query_id = heappop(events)
+                        completed = kernels[server_index].retire(query_id)
                         if now > last_completion:
                             last_completion = now
-                        if completed.query_id >= warmup_count:
+                        if query_id >= warmup_count:
                             latency = now - completed.arrival_time
                             record(latency)
                             measured_count += 1
@@ -1440,11 +1428,14 @@ class ClusterSimulator:
         already-pushed completions arrive as stale no-ops, and the kernel is
         rebound to a fresh slot for its life after recovery — one kernel per
         node for the whole run, which keeps busy-time/work accounting
-        cumulative.  A down node still *exists* to health-blind balancers
-        (cleared, outstanding 0 — they actively prefer it, which is exactly
-        the naive-policy failure mode the degraded-fleet experiment shows);
-        dispatches to it are black-holed and noticed ``detect_delay_s``
-        later.
+        cumulative.  Each kernel plans against its node's
+        :class:`~repro.faults.NodeTimeline`, so a query whose work would
+        start after the node's next crash gets no completion event and is
+        returned by the crash as lost.  A down node still *exists* to
+        health-blind balancers (cleared, outstanding 0 — they actively
+        prefer it, which is exactly the naive-policy failure mode the
+        degraded-fleet experiment shows); dispatches to it are black-holed
+        and noticed ``detect_delay_s`` later.
         """
         ordered = sorted(queries, key=_arrival_key)
         warmup_count = int(len(ordered) * self.warmup_fraction)
@@ -1456,10 +1447,14 @@ class ClusterSimulator:
         reject_needed = certain_rejection_threshold(len(ordered) - warmup_count)
         over_sla = 0
 
+        transitions = self._fault_plan.events(len(self._servers))
+        timelines = NodeTimeline.per_node(transitions, len(self._servers))
         counter = itertools.count()
         events: List[tuple] = []
         kernels = [
-            ServerKernel(server.engines, server.config, cores, events, counter, index)
+            ServerKernel(
+                server.engines, server.config, cores, events, counter, index, timelines[index]
+            )
             for index, (server, cores) in enumerate(zip(self._servers, self._cores))
         ]
         num_kernels = len(kernels)
@@ -1475,7 +1470,6 @@ class ClusterSimulator:
         max_retries = retry_policy.max_retries
         hedge = retry_policy.hedge
 
-        transitions = self._fault_plan.events(num_kernels)
         num_transitions = len(transitions)
         t_cursor = 0
         next_transition = transitions[0].time_s if transitions else _INFINITY
@@ -1564,16 +1558,11 @@ class ClusterSimulator:
                     and next_completion <= next_retry
                     and next_completion <= next_arrival
                 ):
-                    now, kind, _, slot, query_id = heappop(events)
+                    now, _, _, slot, query_id = heappop(events)
                     node = slot_node[slot]
                     if node is None:
                         continue  # stale: pushed before its node crashed
-                    if kind == EVT_CPU_DONE:
-                        completed = kernels[node].on_cpu_done(query_id, now)
-                        if completed is None:
-                            continue
-                    else:  # EVT_GPU_DONE
-                        completed = kernels[node].on_gpu_done(query_id, now)
+                    completed = kernels[node].retire(query_id)
                     if now > last_completion:
                         last_completion = now
                     track = tracked.get(query_id)
@@ -1632,11 +1621,11 @@ class ClusterSimulator:
                             stats.recoveries += 1
                             observe_health(health)
                     elif kind_t == KIND_SLOW_ON:
-                        kernel.service_scale = transition.slowdown
+                        # The kernel already planned with this slowdown (its
+                        # timeline); only the balancer's view changes here.
                         health[node].slowdown = transition.slowdown
                         observe_health(health)
                     else:  # KIND_SLOW_OFF
-                        kernel.service_scale = 1.0
                         health[node].slowdown = 1.0
                         observe_health(health)
                     continue

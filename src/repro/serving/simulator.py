@@ -16,29 +16,29 @@ simulator reports tail latency percentiles, achieved throughput, device
 utilisation, and the fraction of work processed by the accelerator — the
 quantities the paper's evaluation figures are built from.
 
-The event mechanics of a single server live in :class:`ServerKernel`, a
-steppable object that owns the server's queues and accounting but not the
-event heap or the clock.  :class:`ServingSimulator` drives one kernel;
-:class:`~repro.serving.cluster.ClusterSimulator` drives a fleet of them from
-a shared heap, which is what makes a cluster with one server bit-identical to
-the single-server simulator.
+The event mechanics of a single server live in :class:`ServerKernel`, which
+plans each query's work when it arrives and owns the server's accounting
+but not the event heap or the clock.  :class:`ServingSimulator` drives one
+kernel; :class:`~repro.serving.cluster.ClusterSimulator` drives a fleet of
+them from a shared heap, which is what makes a cluster with one server
+bit-identical to the single-server simulator.
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
 import itertools
 import math
 import operator
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from heapq import heappop, heappush, heapreplace
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.execution.engine import EnginePair
+from repro.faults.plan import NodeTimeline
 from repro.queries.query import Query
 from repro.utils.stats import PercentileTracker
 from repro.utils.validation import check_positive
@@ -267,11 +267,11 @@ def certain_acceptance_threshold(measured_total: int) -> int:
     return measured_total - 1 - math.ceil((measured_total - 1) * 0.95)
 
 
-# Event kinds, ordered so that completions at time t are processed before
-# arrivals at the same instant (frees cores first).
+# Completion event kinds: at one instant, CPU completions sort before
+# accelerator completions.  Arrivals never enter the heap; the loops admit
+# them after every completion at or before their instant.
 EVT_CPU_DONE = 0
 EVT_GPU_DONE = 1
-EVT_ARRIVAL = 2
 
 #: Sort key for arrival ordering (C-level attribute getter, not a lambda).
 _arrival_key = operator.attrgetter("arrival_time")
@@ -338,44 +338,57 @@ class _LazyServiceRow:
         return value
 
 
-class _QueryState:
-    """Bookkeeping for a query split into several CPU requests (hot-path object).
-
-    Queries that produce a single unit of work (one CPU request, or a whole
-    query offloaded to the accelerator) skip this object entirely — the
-    kernel stores the bare :class:`Query` in its state map instead.
-    """
-
-    __slots__ = ("query", "outstanding_requests")
-
-    def __init__(self, query: Query, outstanding_requests: int) -> None:
-        self.query = query
-        self.outstanding_requests = outstanding_requests
-
-
 class ServerKernel:
-    """Steppable event mechanics of one simulated server.
+    """Event mechanics of one simulated server, planned one query at a time.
 
-    The kernel owns the server-local state — CPU/accelerator FIFO queues,
-    busy-core count, busy-time and work accounting — while the *owner* owns
-    the event heap and the simulated clock.  Completion events are pushed
-    straight onto the owner's heap as ``(time, kind, seq, server_index,
-    query_id)`` tuples; ``server_index`` tags each event with the kernel it
-    belongs to (a cluster routes on it, a single-server owner ignores it) and
-    the shared ``seq`` counter keeps equal-time events deterministically
-    ordered.
+    The kernel owns the server-local state — the times its busy cores and
+    its accelerator come free, the queries still on the server, busy-time
+    and work accounting — while the *owner* owns the event heap and the
+    simulated clock.
 
-    The live ``outstanding_queries`` / ``outstanding_items`` counters are the
-    signals cluster load balancers key on.
+    :meth:`submit` plans all of a query's work the moment it arrives and
+    pushes **one** completion event per query onto the owner's heap, as a
+    ``(finish, kind, seq, server_index, query_id)`` tuple: ``kind`` is
+    ``EVT_CPU_DONE`` or ``EVT_GPU_DONE``, ``seq`` is drawn from the owner's
+    shared counter at submission, and ``server_index`` routes the event back
+    to this kernel.  :meth:`retire` then only removes the finished query.
+    The plan is exactly what request-by-request dispatch would produce,
+    because both queues are FIFO over identical cores:
 
-    Service times come from the engines' dense latency tables (bit-identical
-    to the scalar engine calls), so the per-event cost is a list index rather
-    than a trip through the Python latency model.
+    * the kernel keeps a min-heap of at most ``num_cores`` core-free times
+      and drops those ``<= now`` (completions come before arrivals at one
+      instant);
+    * while a core is free, a request starts at once on ``row[busy + 1]``,
+      the service time with ``busy + 1`` cores active;
+    * otherwise it starts at the earliest core-free time on
+      ``row[num_cores]``, since a waiting request implies every core busy;
+    * the accelerator is one FIFO: a query starts at ``max(now, gpu_free)``;
+    * ``cpu_busy_time`` adds each request's service in that FIFO order,
+      which is the order dispatch would have added it.
+
+    Within one server, equal-time completions therefore keep the order in
+    which they were submitted, as dispatch order would give.  Across
+    servers, equal-time completions are ordered by submission too (the
+    shared ``seq``), not by when each query's final request started.
+
+    A kernel built with a :class:`~repro.faults.NodeTimeline` plans against
+    its node's known future:
+
+    * work starting at submission uses the slowdown in force then;
+    * work starting later, when a core or the accelerator frees at ``t``,
+      uses the slowdown set by transitions strictly before ``t`` (the fault
+      loop handles completions before transitions at one instant);
+    * work that would start after the node's next crash is neither planned
+      nor counted as busy time, and its query gets no completion event: the
+      crash loses it.
+
+    The live ``outstanding_queries`` / ``outstanding_items`` counters are
+    the signals cluster load balancers key on.  Service times come from the
+    engines' dense latency tables (bit-identical to the scalar engine calls).
     """
 
     __slots__ = (
-        "_cpu",
-        "_gpu",
+        "_gpu_service",
         "_config",
         "_num_cores",
         "_events",
@@ -384,13 +397,10 @@ class ServerKernel:
         "_batch_size",
         "_threshold",
         "_cpu_service",
-        "_gpu_service",
-        "_cpu_queue",
-        "_gpu_queue",
+        "_timeline",
+        "_core_free",
+        "_gpu_free",
         "_states",
-        "_busy_cores",
-        "_gpu_busy",
-        "_service_scale",
         "cpu_busy_time",
         "gpu_busy_time",
         "total_items",
@@ -407,9 +417,8 @@ class ServerKernel:
         events: List[tuple],
         counter: Iterator[int],
         server_index: int = 0,
+        timeline: Optional[NodeTimeline] = None,
     ) -> None:
-        self._cpu = engines.cpu
-        self._gpu = engines.gpu
         self._config = config
         self._num_cores = num_cores
         self._events = events
@@ -419,6 +428,7 @@ class ServerKernel:
         self._threshold = (
             config.offload_threshold if engines.gpu is not None else None
         )
+        self._timeline = timeline
 
         # Dense service-time lookups: _cpu_service[active_cores][batch].
         # Engines without a latency table (duck-typed wrappers) fall back to
@@ -442,15 +452,9 @@ class ServerKernel:
                 gpu_table.total_s if gpu_table is not None else engines.gpu.query_latency_s
             )
 
-        self._cpu_queue: deque = deque()  # FIFO of (query_id, request_batch)
-        self._gpu_queue: deque = deque()  # FIFO of query ids
-        self._states: Dict[int, _QueryState] = {}
-        self._busy_cores = 0
-        self._gpu_busy = False
-        # Straggler hook: every service time is multiplied by this factor.
-        # The default 1.0 is exact under IEEE-754 (x * 1.0 == x), so a fleet
-        # with the hook installed but no faults stays bit-identical.
-        self._service_scale = 1.0
+        self._core_free: List[float] = []  # min-heap of busy cores' free times
+        self._gpu_free = -_INFINITY
+        self._states: Dict[int, Query] = {}
 
         self.cpu_busy_time = 0.0
         self.gpu_busy_time = 0.0
@@ -485,23 +489,6 @@ class ServerKernel:
         """
         return self.num_submitted - len(self._states)
 
-    @property
-    def service_scale(self) -> float:
-        """Multiplier applied to every service time (straggler injection).
-
-        Scales only dispatches made while it is set — work already on a
-        core/accelerator keeps its original completion time, exactly like a
-        machine that slows down mid-request would not retroactively stretch
-        finished cycles.
-        """
-        return self._service_scale
-
-    @service_scale.setter
-    def service_scale(self, scale: float) -> None:
-        if scale <= 0.0:
-            raise ValueError(f"service_scale must be > 0, got {scale}")
-        self._service_scale = scale
-
     def set_server_index(self, server_index: int) -> None:
         """Re-tag future completion events with a new heap routing slot.
 
@@ -514,26 +501,18 @@ class ServerKernel:
     def fork(self, events: List[tuple], counter: Iterator[int]) -> "ServerKernel":
         """Copy of this kernel's in-flight state that pushes onto ``events``.
 
-        Engines, configuration and service-time rows are shared (they never
-        change during a run); the queues, the state map (split-query
-        bookkeeping cloned) and the busy/work counters are copied, so
-        draining the fork leaves this kernel exactly where it was.
+        Engines, configuration, service-time rows and the fault timeline are
+        shared (they never change during a run); the core-free heap, the
+        state map and the busy/work counters are copied, so draining the
+        fork leaves this kernel exactly where it was.
         """
         fork = ServerKernel.__new__(ServerKernel)
         for name in ServerKernel.__slots__:
             setattr(fork, name, getattr(self, name))
         fork._events = events
         fork._counter = counter
-        fork._cpu_queue = deque(self._cpu_queue)
-        fork._gpu_queue = deque(self._gpu_queue)
-        fork._states = {
-            query_id: (
-                _QueryState(state.query, state.outstanding_requests)
-                if type(state) is _QueryState
-                else state
-            )
-            for query_id, state in self._states.items()
-        }
+        fork._core_free = list(self._core_free)
+        fork._states = dict(self._states)
         return fork
 
     def crash(self) -> List[Query]:
@@ -541,165 +520,166 @@ class ServerKernel:
 
         Returns the lost queries in submission order so the owner can fail
         or re-dispatch them per its retry policy.  Busy-time and item
-        counters keep the work already admitted — burned cycles on a dead
+        counters keep the work already started — burned cycles on a dead
         node are not refunded, matching fleet-utilisation accounting.
         Completion events already pushed onto the shared heap are NOT
         removed; the owner must retire this kernel's ``server_index`` slot
         so they arrive as stale no-ops.
         """
         states = self._states
-        lost = [
-            state.query if type(state) is _QueryState else state
-            for state in states.values()  # reprolint: disable=RL005 -- insertion order IS the contract: docstring promises submission order
-        ]
+        lost = list(states.values())
         states.clear()
-        self._cpu_queue.clear()
-        self._gpu_queue.clear()
-        self._busy_cores = 0
-        self._gpu_busy = False
+        self._core_free.clear()
+        self._gpu_free = -_INFINITY
         self.outstanding_items = 0
         return lost
 
     def submit(self, query: Query, now: float) -> None:
-        """Accept an arriving query: offload it whole or split it for the CPU."""
+        """Accept an arriving query and plan all of its work.
+
+        Offloads it whole to the accelerator or splits it into CPU requests
+        (full batches first, remainder last, as ``split_query`` orders
+        them), then pushes the query's single completion event — unless
+        part of it would start after the node's next crash.
+        """
         size = query.size
         query_id = query.query_id
         self.num_submitted += 1
         self.total_items += size
         self.outstanding_items += size
+        self._states[query_id] = query
+        timeline = self._timeline
+        if timeline is None:
+            scale = 1.0
+            crash_at = _INFINITY
+        else:
+            scale = timeline.scale_at(now)
+            crash_at = timeline.next_crash_after(now)
+
         threshold = self._threshold
         if threshold is not None and size > threshold:
-            self._states[query_id] = query
             self.gpu_items += size
-            self._gpu_queue.append(query_id)
-            self._dispatch_gpu(now)
-        elif size <= self._batch_size:
-            # Single-request query (the common case): no split bookkeeping,
-            # and when a core is free the request starts immediately without
-            # touching the FIFO (a free core implies an empty queue).
-            self._states[query_id] = query
-            busy = self._busy_cores
-            if busy < self._num_cores:
-                busy += 1
-                service = self._cpu_service[busy][size] * self._service_scale
-                self.cpu_busy_time += service
-                self._busy_cores = busy
-                heapq.heappush(
-                    self._events,
-                    (
-                        now + service,
-                        EVT_CPU_DONE,
-                        next(self._counter),
-                        self._server_index,
-                        query_id,
-                    ),
-                )
-            else:
-                self._cpu_queue.append((query_id, size))
-        else:
-            # Inline query splitting: full batches first, remainder last —
-            # the exact request order split_query produces, without the
-            # per-request object allocations.
-            batch = self._batch_size
-            full, remainder = divmod(size, batch)
-            queue = self._cpu_queue
-            queue.extend(itertools.repeat((query_id, batch), full))
-            if remainder:
-                queue.append((query_id, remainder))
-                full += 1
-            self._states[query_id] = _QueryState(query, full)
-            self._dispatch_cpu(now)
-
-    def on_cpu_done(self, query_id: int, now: float) -> Optional[Query]:
-        """Handle one CPU request completion; return the query if it finished."""
-        busy = self._busy_cores - 1
-        states = self._states
-        state = states[query_id]
-        if type(state) is _QueryState:
-            remaining = state.outstanding_requests - 1
-            if remaining:
-                state.outstanding_requests = remaining
-                query = None
-            else:
-                query = state.query
-        else:
-            query = state
-        if query is not None:
-            del states[query_id]
-            self.outstanding_items -= query.size
-        # Inline of _dispatch_cpu: exactly one core was freed, so at most one
-        # queued request can start (the loop runs at most once).
-        queue = self._cpu_queue
-        if queue:
-            next_id, request_batch = queue.popleft()
-            busy += 1
-            service = self._cpu_service[busy][request_batch] * self._service_scale
-            self.cpu_busy_time += service
-            heapq.heappush(
+            start = self._gpu_free
+            if start <= now:
+                start = now
+            elif timeline is not None:
+                if start > crash_at:
+                    return
+                scale = timeline.scale_before(start)
+            service = self._gpu_service(size) * scale
+            self.gpu_busy_time += service
+            finish = start + service
+            self._gpu_free = finish
+            heappush(
                 self._events,
-                (
-                    now + service,
-                    EVT_CPU_DONE,
-                    next(self._counter),
-                    self._server_index,
-                    next_id,
-                ),
+                (finish, EVT_GPU_DONE, next(self._counter), self._server_index, query_id),
             )
-        self._busy_cores = busy
-        return query
+            return
 
-    def on_gpu_done(self, query_id: int, now: float) -> Query:
-        """Handle an accelerator query completion; always finishes the query."""
-        self._gpu_busy = False
+        cores = self._core_free
+        while cores and cores[0] <= now:
+            heappop(cores)
+        if size <= self._batch_size:
+            # One request, the common case: on a free core at once, or on
+            # the earliest core to free up.
+            busy = len(cores)
+            if busy < self._num_cores:
+                service = self._cpu_service[busy + 1][size] * scale
+                finish = now + service
+                heappush(cores, finish)
+            else:
+                start = cores[0]
+                if timeline is not None:
+                    if start > crash_at:
+                        return
+                    scale = timeline.scale_before(start)
+                service = self._cpu_service[self._num_cores][size] * scale
+                finish = start + service
+                heapreplace(cores, finish)
+            self.cpu_busy_time += service
+        else:
+            split_finish = self._plan_split(size, now, scale, crash_at)
+            if split_finish is None:
+                return
+            finish = split_finish
+        heappush(
+            self._events,
+            (finish, EVT_CPU_DONE, next(self._counter), self._server_index, query_id),
+        )
+
+    def _plan_split(
+        self, size: int, now: float, scale: float, crash_at: float
+    ) -> Optional[float]:
+        """Plan a query split into requests; its finish, or None if a crash loses it.
+
+        Full batches come first and the remainder last, as ``split_query``
+        orders them.
+        """
+        cores = self._core_free
+        rows = self._cpu_service
+        num_cores = self._num_cores
+        batch = self._batch_size
+        full, remainder = divmod(size, batch)
+        busy_time = self.cpu_busy_time
+        finish = now
+        # Free cores first: each request starts now, one more core active.
+        busy = len(cores)
+        while busy < num_cores and (full or remainder):
+            busy += 1
+            if full:
+                full -= 1
+                service = rows[busy][batch] * scale
+            else:
+                service = rows[busy][remainder] * scale
+                remainder = 0
+            busy_time += service
+            end = now + service
+            heappush(cores, end)
+            if end > finish:
+                finish = end
+        # The rest waits: each request starts when the earliest core frees.
+        # Starts never decrease, so equal requests' ends never do either.
+        row = rows[num_cores]
+        timeline = self._timeline
+        if timeline is None:
+            if full:
+                service = row[batch]
+                for _ in range(full):
+                    end = cores[0] + service
+                    busy_time += service
+                    heapreplace(cores, end)
+                if end > finish:
+                    finish = end
+            if remainder:
+                service = row[remainder]
+                end = cores[0] + service
+                busy_time += service
+                heapreplace(cores, end)
+                if end > finish:
+                    finish = end
+        else:
+            for request_batch in itertools.chain(
+                itertools.repeat(batch, full), (remainder,) if remainder else ()
+            ):
+                start = cores[0]
+                if start > crash_at:
+                    # Lost at the crash: no busy time for work never started.
+                    self.cpu_busy_time = busy_time
+                    return None
+                service = row[request_batch] * timeline.scale_before(start)
+                end = start + service
+                busy_time += service
+                heapreplace(cores, end)
+                if end > finish:
+                    finish = end
+        self.cpu_busy_time = busy_time
+        return finish
+
+    def retire(self, query_id: int) -> Query:
+        """Remove a query whose completion event fired; return it."""
         query = self._states.pop(query_id)
         self.outstanding_items -= query.size
-        self._dispatch_gpu(now)
         return query
-
-    # ------------------------------------------------------------------ #
-
-    def _dispatch_cpu(self, now: float) -> None:
-        queue = self._cpu_queue
-        busy = self._busy_cores
-        cores = self._num_cores
-        if not queue or busy >= cores:
-            return
-        service_rows = self._cpu_service
-        scale = self._service_scale
-        heappush = heapq.heappush
-        events = self._events
-        counter = self._counter
-        server_index = self._server_index
-        busy_time = self.cpu_busy_time
-        while queue and busy < cores:
-            query_id, request_batch = queue.popleft()
-            busy += 1
-            service = service_rows[busy][request_batch] * scale
-            busy_time += service
-            heappush(
-                events,
-                (now + service, EVT_CPU_DONE, next(counter), server_index, query_id),
-            )
-        self._busy_cores = busy
-        self.cpu_busy_time = busy_time
-
-    def _dispatch_gpu(self, now: float) -> None:
-        if self._gpu_busy or not self._gpu_queue:
-            return
-        query_id = self._gpu_queue.popleft()
-        self._gpu_busy = True
-        service = self._gpu_service(self._states[query_id].size) * self._service_scale
-        self.gpu_busy_time += service
-        heapq.heappush(
-            self._events,
-            (
-                now + service,
-                EVT_GPU_DONE,
-                next(self._counter),
-                self._server_index,
-                query_id,
-            ),
-        )
 
 
 def late_window_p95(samples: Sequence[float]) -> float:
@@ -748,25 +728,16 @@ def _drain_events(events, ordered, cursor, next_arrival, kernel, last_completion
     the mechanics still run — submissions, completions, clock — with all
     per-query measurement skipped.  Returns the exact last completion time.
     """
-    heappop = heapq.heappop
     submit = kernel.submit
-    on_cpu_done = kernel.on_cpu_done
-    on_gpu_done = kernel.on_gpu_done
+    retire = kernel.retire
     num_arrivals = len(ordered)
     while True:
-        if events:
-            head = events[0]
-            now = head[0]
-            if now <= next_arrival:
-                _, kind, _, _, query_id = heappop(events)
-                if kind == EVT_CPU_DONE:
-                    if on_cpu_done(query_id, now) is None:
-                        continue
-                else:  # EVT_GPU_DONE
-                    on_gpu_done(query_id, now)
-                if now > last_completion:
-                    last_completion = now
-                continue
+        if events and events[0][0] <= next_arrival:
+            now, _, _, _, query_id = heappop(events)
+            retire(query_id)
+            if now > last_completion:
+                last_completion = now
+            continue
         if cursor >= num_arrivals:
             return last_completion
         query = ordered[cursor]
@@ -866,9 +837,10 @@ class ServingSimulator:
         accept_over_late = 0
 
         # Arrivals are consumed straight from the sorted list with a cursor;
-        # only completions go through the event heap.  A completion at time t
-        # is processed before an arrival at the same instant (frees cores
-        # first), matching the EVT_* ordering of the all-in-one-heap form.
+        # only query completions (one per query) go through the event heap.
+        # A completion at time t is processed before an arrival at the same
+        # instant, which the kernel's plan assumes (a core freeing at t is
+        # free for a query arriving at t).
         events: List[tuple] = []
         kernel = ServerKernel(
             self._engines, config, self._num_cores, events, itertools.count()
@@ -881,10 +853,8 @@ class ServingSimulator:
         # latencies collect into a plain list and feed the tracker in one
         # vectorized pass; in sketch mode they flush chunk-wise into
         # fixed-space sketches so peak memory stays O(1) in the trace.
-        heappop = heapq.heappop
         submit = kernel.submit
-        on_cpu_done = kernel.on_cpu_done
-        on_gpu_done = kernel.on_gpu_done
+        retire = kernel.retire
         measured_latencies: List[float] = []
         sketch_mode = self._latency_stats == "sketch"
         if sketch_mode:
@@ -903,16 +873,11 @@ class ServingSimulator:
                     head = events[0]
                     now = head[0]
                     if now <= next_arrival:
-                        _, kind, _, _, query_id = heappop(events)
-                        if kind == EVT_CPU_DONE:
-                            completed = on_cpu_done(query_id, now)
-                            if completed is None:
-                                continue
-                        else:  # EVT_GPU_DONE
-                            completed = on_gpu_done(query_id, now)
+                        _, _, _, _, query_id = heappop(events)
+                        completed = retire(query_id)
                         if now > last_completion:
                             last_completion = now
-                        if completed.query_id not in warmup_ids:
+                        if query_id not in warmup_ids:
                             latency = now - completed.arrival_time
                             record(latency)
                             measured_count += 1

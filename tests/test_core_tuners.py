@@ -5,6 +5,8 @@ bisection iterations) so the suite stays fast while still exercising the full
 DeepRecSched pipeline.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.core.batch_tuner import BatchSizeTuner
@@ -12,7 +14,10 @@ from repro.core.offload_tuner import OffloadThresholdTuner
 from repro.core.scheduler import DeepRecSched
 from repro.execution.engine import build_engine_pair
 from repro.queries.generator import LoadGenerator
-from repro.serving.sla import SLATier
+from repro.runtime.capacity import CapacitySearch
+from repro.serving.capacity import find_max_qps
+from repro.serving.simulator import ServingConfig
+from repro.serving.sla import SLATier, sla_target
 
 FAST = dict(num_queries=150, capacity_iterations=3)
 
@@ -147,6 +152,45 @@ class TestDeepRecSchedFacade:
         assert (gpu_point.qps_per_watt / cpu_point.qps_per_watt) < (
             gpu_point.qps / cpu_point.qps
         )
+
+    def test_tuned_points_reuse_the_climbs_search(self):
+        # optimize_cpu / optimize_gpu report the search the climb already ran
+        # at the winning config: one search per climb step, none after it,
+        # and the reported point equals a fresh search there.
+        scheduler = DeepRecSched("dlrm-rmc1", num_queries=150, capacity_iterations=3, seed=11)
+        searches = []
+        original = CapacitySearch.run
+
+        def counting(search, *args, **kwargs):
+            searches.append(search)
+            return original(search, *args, **kwargs)
+
+        with mock.patch.object(CapacitySearch, "run", counting):
+            cpu = scheduler.optimize_cpu(SLATier.MEDIUM)
+            cpu_searches = len(searches)
+            gpu = scheduler.optimize_gpu(SLATier.MEDIUM, batch_size=cpu.batch_size)
+        sla = sla_target("dlrm-rmc1", SLATier.MEDIUM).latency_s
+        load = LoadGenerator(seed=11)
+        cpu_steps = len(BatchSizeTuner(scheduler.engines, load, **FAST).tune(sla).qps_by_batch_size)
+        gpu_steps = len(
+            OffloadThresholdTuner(scheduler.engines, load, **FAST)
+            .tune(cpu.batch_size, sla)
+            .qps_by_threshold
+        )
+        assert cpu_searches == cpu_steps
+        assert len(searches) == cpu_steps + gpu_steps
+        for point in (cpu, gpu):
+            fresh = find_max_qps(
+                scheduler.engines,
+                ServingConfig(batch_size=point.batch_size, offload_threshold=point.offload_threshold),
+                sla,
+                load,
+                num_queries=150,
+                iterations=3,
+            )
+            assert point.qps == fresh.max_qps
+            assert point.cpu_utilization == fresh.result.cpu_utilization
+            assert point.gpu_work_fraction == fresh.result.gpu_work_fraction
 
     def test_gpu_scheduler_requires_accelerator(self):
         scheduler = DeepRecSched(

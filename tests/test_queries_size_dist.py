@@ -1,5 +1,7 @@
 """Tests for the query working-set-size distributions (Fig. 5 properties)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,22 @@ class TestProductionQuerySizes:
         dist = ProductionQuerySizes()
         assert dist.percentile(75) > dist.percentile(50)
         assert dist.mean() > dist.percentile(50)
+
+    def test_default_mean_is_memoised_per_instance(self):
+        dist = ProductionQuerySizes()
+        params = dict(vars(dist))
+        with mock.patch.object(ProductionQuerySizes, "sample", wraps=dist.sample) as sample:
+            first = dist.mean()
+            assert dist.mean() == first
+            assert sample.call_count == 1
+            # Other arguments draw afresh, and equal the unmemoised estimate.
+            assert dist.mean(count=20000, rng=1234) == first
+            dist.mean(count=500)
+            assert sample.call_count == 3
+        assert ProductionQuerySizes().mean() == first
+        # The memo stays out of the instance: capacity-search signatures
+        # read vars(distribution).
+        assert vars(dist) == params
 
     def test_invalid_tail_probability(self):
         with pytest.raises(ValueError):
